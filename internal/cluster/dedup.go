@@ -6,11 +6,21 @@ import "sync"
 // duplicates) arrive carrying the same BatchID; the hosting node must
 // apply each sequenced batch to its queues exactly once, and answer
 // every duplicate with the original outcome — at-least-once on the
-// wire, exactly-once at the queue boundary. The window is keyed by
-// sender identity: each sender's recent sequence numbers map to the
-// cached delivery outcome, with entries beyond the window evicted (a
-// retry never lags thousands of batches behind; the window only needs
-// to out-live the sender's bounded retry horizon).
+// wire, exactly-once at the queue boundary.
+//
+// The window is keyed by sender identity. Each sender incarnation owns
+// a fixed ring of window slots indexed by seq % window; a slot holds
+// one (seq, outcome) pair. The window is the last `window` seqs up to
+// the highest one seen: a seq inside it finds its own slot (a
+// duplicate) or a slot holding an older, out-of-window seq (fresh: the
+// slot is overwritten). A seq older than the window is applied
+// uncached and never touches a slot, because the slot it maps to may
+// belong to a live seq (the seq exactly window behind the maximum
+// shares the maximum's slot). A retry never lags thousands of batches
+// behind, so the window only needs to out-live the sender's bounded
+// retry horizon. Every operation is O(1); seqs may reach a receiver
+// sparsely (one sender counter is shared across destinations), which
+// only leaves some slots empty.
 
 // dedupEntry caches one sequenced batch's delivery outcome. done is
 // closed when the first delivery finishes, so a duplicate racing the
@@ -22,18 +32,27 @@ type dedupEntry struct {
 	err      error
 }
 
-// senderWindow is one sender's recent delivery history.
+// dedupSlot is one ring position: the seq it caches and its outcome
+// (nil while empty).
+type dedupSlot struct {
+	seq   uint64
+	entry *dedupEntry
+}
+
+// senderWindow is one sender incarnation's recent delivery history.
 type senderWindow struct {
-	epoch   uint64
-	maxSeq  uint64
-	entries map[uint64]*dedupEntry
+	epoch    uint64
+	maxSeq   uint64
+	resident int // occupied slots
+	slots    []dedupSlot
 }
 
 // dedupTable is a cluster node's per-sender dedup state.
 type dedupTable struct {
-	mu      sync.Mutex
-	window  uint64
-	senders map[string]*senderWindow
+	mu       sync.Mutex
+	window   uint64
+	resident int // occupied slots across senders
+	senders  map[string]*senderWindow
 }
 
 func newDedupTable(window int) *dedupTable {
@@ -48,7 +67,8 @@ func newDedupTable(window int) *dedupTable {
 // commit the outcome into entry, and (entry, true) when the batch is a
 // duplicate — the caller waits on entry.done and returns the cached
 // outcome. A nil entry means the batch must be applied without caching
-// (stale epoch: a previous incarnation of the sender).
+// (a stale epoch from a previous incarnation of the sender, or a seq
+// older than the window).
 func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -57,30 +77,30 @@ func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 		// First contact with this sender incarnation: any previous
 		// incarnation's window is stale (its seq counter restarted), so
 		// it is dropped whole.
-		sw = &senderWindow{epoch: id.Epoch, entries: make(map[uint64]*dedupEntry)}
+		if sw != nil {
+			t.resident -= sw.resident
+		}
+		sw = &senderWindow{epoch: id.Epoch, slots: make([]dedupSlot, t.window)}
 		t.senders[id.Sender] = sw
 	}
 	if id.Epoch < sw.epoch {
 		return nil, false
 	}
-	if e := sw.entries[id.Seq]; e != nil {
-		return e, true
+	if id.Seq+t.window <= sw.maxSeq {
+		return nil, false
+	}
+	slot := &sw.slots[id.Seq%t.window]
+	if slot.entry != nil && slot.seq == id.Seq {
+		return slot.entry, true
+	}
+	if slot.entry == nil {
+		sw.resident++
+		t.resident++
 	}
 	e := &dedupEntry{done: make(chan struct{})}
-	sw.entries[id.Seq] = e
+	*slot = dedupSlot{seq: id.Seq, entry: e}
 	if id.Seq > sw.maxSeq {
 		sw.maxSeq = id.Seq
-	}
-	// Evict entries that have fallen out of the window. Seqs are issued
-	// densely per sender, so the resident set stays ~window even though
-	// eviction only walks candidates below the new watermark.
-	if sw.maxSeq > t.window {
-		low := sw.maxSeq - t.window
-		for seq := range sw.entries {
-			if seq < low {
-				delete(sw.entries, seq)
-			}
-		}
 	}
 	return e, false
 }
@@ -94,21 +114,9 @@ func (e *dedupEntry) commit(accepted int, rejects []BatchReject, err error) {
 	close(e.done)
 }
 
-// forget drops a sender's window (a restarted receiver starts empty
-// anyway; this is for symmetric cleanup in tests and rejoin paths).
-func (t *dedupTable) forget(sender string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.senders, sender)
-}
-
-// size reports the total retained entries across senders.
+// size reports the total occupied slots across senders.
 func (t *dedupTable) size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, sw := range t.senders {
-		n += len(sw.entries)
-	}
-	return n
+	return t.resident
 }

@@ -282,7 +282,8 @@ func TestDedupEpochBoundary(t *testing.T) {
 	}
 }
 
-// Entries beyond the window are evicted so the table stays bounded.
+// Entries beyond the window are overwritten so the table stays
+// bounded: a dense run of seqs leaves exactly window entries resident.
 func TestDedupWindowEviction(t *testing.T) {
 	tab := newDedupTable(8)
 	for seq := uint64(1); seq <= 100; seq++ {
@@ -292,8 +293,8 @@ func TestDedupWindowEviction(t *testing.T) {
 		}
 		e.commit(1, nil, nil)
 	}
-	if n := tab.size(); n > 16 {
-		t.Fatalf("window retained %d entries, want bounded near 8", n)
+	if n := tab.size(); n != 8 {
+		t.Fatalf("window retained %d entries, want exactly 8", n)
 	}
 }
 

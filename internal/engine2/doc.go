@@ -43,4 +43,16 @@
 // the dirty-slate window; the event replay log closes the queued
 // window with at-least-once redelivery. Failover ordering is owned by
 // internal/recovery.
+//
+// In node mode a worker thread stages the outputs it sends to machines
+// other nodes host and hands them off in one batch per destination
+// when its queue runs dry or the batch reaches 128 deliveries. A
+// processed event is acknowledged in the replay log, counted as
+// processed, and released from the in-flight tracker only after its
+// remote outputs are handed off: a crash before the handoff replays
+// the event (at-least-once) rather than losing its outputs, and Drain
+// cannot return while outputs sit staged. Every delivery a send fails
+// to place — per event or batched — goes through one disposition
+// (divert, drop, machine-down, transient) with the same loss
+// accounting.
 package engine2

@@ -2,6 +2,7 @@ package engine2
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -656,6 +657,14 @@ func (e *Engine) candidates(m *machine, k fk) (int, int) {
 // repeat. The queue is passed explicitly because a machine revival
 // installs a fresh queue (and a fresh loop) after a crash closed the
 // old one.
+//
+// The loop batches its remote emits: deliveries to
+// machines other nodes host are staged in the loop's outbox and sent
+// with one SendBatch per destination machine when the queue runs dry
+// or the outbox fills, so a backlog costs one wire frame per batch
+// instead of one per event. A parent envelope whose emits are staged
+// is acknowledged (replay-log ack, Processed count, span finish,
+// tracker release) only after the flush hands them off.
 func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelope]) {
 	defer e.wg.Done()
 	// The loop's reusable invocation scratch. Owned by this goroutine
@@ -663,20 +672,27 @@ func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelo
 	// scratch) that may briefly overlap the old loop's final
 	// invocation, so the emitter cannot live on the shared thread slot.
 	var em collectEmitter
+	var ob outbox
 	for {
 		env, err := q.Get()
 		if err != nil {
+			// Closed by Stop (nothing is staged: the tracker was idle) or
+			// by a crash drain, which already took the unprocessed
+			// envelopes; hand off what the processed ones emitted.
+			e.flush(m, &ob)
 			return
 		}
 		// A ring change (failover or rejoin) while the envelope was
 		// queued — or while it was being routed — may have moved the
 		// key: forward it to the current owner rather than break the
-		// single-writer property.
+		// single-writer property. Staged emits go first so the forward
+		// cannot overtake them.
 		if e.ring.LookupRoute(env.Func, env.Ev.Key) != m.name {
+			e.flush(m, &ob)
 			if m.log != nil && env.WalSeq != 0 {
 				m.log.Ack(env.WalSeq) // handled here by forwarding
 			}
-			e.deliver(env.Func, env.Ev, false)
+			e.deliver(env.Func, env.Ev, false, nil)
 			e.tracker.Dec()
 			continue
 		}
@@ -686,18 +702,119 @@ func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelo
 			sp = e.tracer.Start(env.Ev.Stream, env.Ev.Ingress, env.Ev.TraceEnq)
 		}
 		m.markRunning(k, th.idx, +1)
-		e.process(m, &em, env, sp)
+		staged := ob.n
+		e.process(m, &em, &ob, env, sp)
 		m.markRunning(k, th.idx, -1)
-		e.tracer.Finish(sp)
-		if m.log != nil && env.WalSeq != 0 {
-			m.log.Ack(env.WalSeq)
+		if ob.n == staged {
+			e.finish(m, env.WalSeq, sp)
+		} else {
+			ob.parents = append(ob.parents, pendingParent{walSeq: env.WalSeq, sp: sp})
 		}
-		e.counters.Processed.Add(1)
-		e.tracker.Dec()
+		if ob.n > 0 && (ob.n >= outboxCap || q.Len() == 0) {
+			e.flush(m, &ob)
+		}
 	}
 }
 
-func (e *Engine) process(m *machine, em *collectEmitter, env engine.Envelope, sp *obs.Span) {
+// finish retires one processed envelope: trace span, replay-log ack,
+// Processed count, and its in-flight charge.
+func (e *Engine) finish(m *machine, walSeq uint64, sp *obs.Span) {
+	e.tracer.Finish(sp)
+	if m.log != nil && walSeq != 0 {
+		m.log.Ack(walSeq)
+	}
+	e.counters.Processed.Add(1)
+	e.tracker.Dec()
+}
+
+// outboxCap bounds the remote deliveries a worker stages before it
+// flushes without waiting for its queue to run dry; under a backlog
+// it caps both the frame size and how long a staged emit waits.
+const outboxCap = 128
+
+// outbox is one worker loop's staging area for deliveries to machines
+// other nodes host, grouped by destination in staging order, plus the
+// processed parents whose acknowledgement waits on the flush. In a
+// single-node cluster it never holds anything.
+type outbox struct {
+	dests   []outboxDest
+	n       int
+	parents []pendingParent
+}
+
+// outboxDest is the staged batch for one destination machine. Entries
+// are kept across flushes so their slices' capacity is reused.
+type outboxDest struct {
+	machine string
+	ds      []cluster.Delivery
+}
+
+// pendingParent is a processed envelope whose remote emits are staged
+// but not yet handed off.
+type pendingParent struct {
+	walSeq uint64
+	sp     *obs.Span
+}
+
+func (o *outbox) add(machine string, d cluster.Delivery) {
+	o.n++
+	for i := range o.dests {
+		if o.dests[i].machine == machine {
+			o.dests[i].ds = append(o.dests[i].ds, d)
+			return
+		}
+	}
+	o.dests = append(o.dests, outboxDest{machine: machine, ds: []cluster.Delivery{d}})
+}
+
+// flush hands the outbox's staged deliveries off — one SendBatch per
+// destination machine — then retires the parents that emitted them.
+// Their spans' emit stage is stamped here so it includes the send.
+func (e *Engine) flush(m *machine, ob *outbox) {
+	if ob.n == 0 {
+		return
+	}
+	for i := range ob.dests {
+		d := &ob.dests[i]
+		if len(d.ds) == 0 {
+			continue
+		}
+		e.sendStaged(d.machine, d.ds)
+		clear(d.ds)
+		d.ds = d.ds[:0]
+	}
+	ob.n = 0
+	for _, p := range ob.parents {
+		p.sp.MarkEmit()
+		e.finish(m, p.walSeq, p.sp)
+	}
+	clear(ob.parents)
+	ob.parents = ob.parents[:0]
+}
+
+// sendStaged sends one destination's staged deliveries in a single
+// exchange and settles whatever it did not place.
+func (e *Engine) sendStaged(machine string, ds []cluster.Delivery) {
+	accepted, rejects, err := e.clu.SendBatch(machine, ds)
+	// Every staged delivery leaves this node's tracker: accepted ones
+	// belong to the hosting node's (it charged itself on landing), and
+	// the rest are settled below. The parents' own charges keep the
+	// tracker above zero meanwhile.
+	e.tracker.Add(-len(ds))
+	if err != nil {
+		e.settle(machine, ds, err)
+		return
+	}
+	// A delivered batch proves the machine reachable; any suspicion run
+	// it had accumulated resets.
+	e.rec.Detector().ObserveSendOK(machine)
+	e.counters.Emitted.Add(uint64(accepted))
+	for _, rj := range rejects {
+		e.settle(machine, ds[rj.Index:rj.Index+1], rj.Err)
+	}
+}
+
+func (e *Engine) process(m *machine, em *collectEmitter, ob *outbox, env engine.Envelope, sp *obs.Span) {
 	f := e.app.Function(env.Func)
 	if f == nil {
 		return
@@ -754,7 +871,7 @@ func (e *Engine) process(m *machine, em *collectEmitter, env engine.Envelope, sp
 		copy(arena, em.vals)
 	}
 	for _, out := range em.outputs {
-		e.route(e.derive(out, arena, env.Ev))
+		e.route(e.derive(out, arena, env.Ev), ob)
 	}
 	sp.MarkEmit()
 }
@@ -851,19 +968,22 @@ func (e *Engine) derive(out emitted, arena []byte, in event.Event) event.Event {
 	}
 }
 
-// route fans an event out to every subscriber of its stream.
-func (e *Engine) route(ev event.Event) {
+// route fans an event out to every subscriber of its stream, staging
+// remote deliveries in ob when it is non-nil.
+func (e *Engine) route(ev event.Event, ob *outbox) {
 	if e.app.IsOutput(ev.Stream) {
 		e.sink.Record(ev)
 	}
 	for _, fn := range e.app.Subscribers(ev.Stream) {
-		e.deliver(fn, ev, false)
+		e.deliver(fn, ev, false, ob)
 	}
 }
 
 // deliver routes an event to the machine owning <key, fn> and applies
-// the overflow and failure semantics.
-func (e *Engine) deliver(fn string, ev event.Event, throttle bool) {
+// the overflow and failure semantics. With a worker's outbox, a
+// delivery to a machine another node hosts is staged there (charged to
+// the tracker now, sent at the loop's next flush) instead of sent.
+func (e *Engine) deliver(fn string, ev event.Event, throttle bool, ob *outbox) {
 	if e.stopped.Load() {
 		// Deliveries offered to a stopped engine used to vanish without
 		// a trace; the streaming-ingress contract is that every drop is
@@ -879,77 +999,70 @@ func (e *Engine) deliver(fn string, ev event.Event, throttle bool) {
 			return
 		}
 		e.tracker.Inc()
+		local := e.clu.IsLocal(machineName)
+		if ob != nil && !local {
+			ob.add(machineName, cluster.Delivery{Worker: fn, Ev: ev})
+			return
+		}
 		err := e.clu.Send(machineName, fn, ev)
-		switch {
-		case err == nil:
-			if !e.clu.IsLocal(machineName) {
+		if err == nil {
+			if !local {
 				// Handed off: the hosting node's tracker took the event
 				// over when it landed (OnRemoteInflight).
 				e.tracker.Dec()
-				// A delivered batch proves the machine reachable; any
-				// suspicion run it had accumulated resets.
 				e.rec.Detector().ObserveSendOK(machineName)
 			}
 			e.counters.Emitted.Add(1)
 			return
-		case err == cluster.ErrMachineDown:
-			e.tracker.Dec()
-			// Detect-on-send: the recovery detector notifies the master,
-			// whose broadcast drives the failover protocol. The event
-			// itself is lost and logged, not resent (Section 4.3).
-			e.rec.Detector().ObserveSendFailure(machineName)
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossMachineDown)
-			return
-		case cluster.IsTransient(err):
-			e.tracker.Dec()
-			// The bounded retry budget was exhausted by network blips;
-			// the machine may be healthy. Raise suspicion — K
-			// consecutive exhausted sends escalate to machine-down
-			// through the detector — and account the loss under its own
-			// reason so flaky-network losses stay distinguishable from
-			// declared-dead losses.
-			e.rec.Detector().ObserveTransientFailure(machineName)
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossTransient)
-			return
-		case err == queue.ErrOverflow:
-			e.tracker.Dec()
-			if throttle {
-				time.Sleep(200 * time.Microsecond)
-				continue
-			}
-			switch e.cfg.QueuePolicy {
-			case queue.Divert:
-				if e.cfg.OverflowStream != "" && ev.Stream != e.cfg.OverflowStream {
-					div := ev
-					div.Stream = e.cfg.OverflowStream
-					e.counters.Diverted.Add(1)
-					e.route(div)
-				} else {
-					e.counters.LostOverflow.Add(1)
-					e.lost.Record(fn, ev, engine.LossOverflow)
-				}
-			default:
-				e.counters.LostOverflow.Add(1)
-				e.lost.Record(fn, ev, engine.LossOverflow)
-			}
-			return
-		case err == queue.ErrClosed:
-			// The destination queue was closed between the liveness
-			// check and the enqueue — the machine is crashing (or the
-			// engine stopping) under us. Account it like any other
-			// delivery to a dying machine; detection is left to the
-			// next send, which fails with ErrMachineDown.
-			e.tracker.Dec()
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossMachineDown)
-			return
-		default:
-			e.tracker.Dec()
+		}
+		e.tracker.Dec()
+		if throttle && errors.Is(err, queue.ErrOverflow) {
+			time.Sleep(200 * time.Microsecond)
+			continue
+		}
+		e.settle(machineName, []cluster.Delivery{{Worker: fn, Ev: ev}}, err)
+		return
+	}
+}
+
+// settle is the one failure disposition for deliveries a send did not
+// place on a queue, shared by the per-event and the batched (outbox)
+// paths; ds all failed with err on a send to machine. The detector
+// hears about the failed send once. An exhausted retry budget only
+// raises suspicion — K consecutive exhausted sends escalate to
+// machine-down — and its losses keep their own reason,
+// distinguishable from declared-dead ones. Detect-on-send: a
+// machine-down answer notifies the master, whose broadcast drives the
+// failover protocol, and the events themselves are lost and logged,
+// not resent (Section 4.3). A closed queue means the machine is crashing (or the engine
+// stopping) under the send; detection is left to the next send. An
+// overflow diverts under the Divert policy and drops otherwise.
+func (e *Engine) settle(machine string, ds []cluster.Delivery, err error) {
+	reason := engine.LossOverflow
+	switch {
+	case cluster.IsTransient(err):
+		e.rec.Detector().ObserveTransientFailure(machine)
+		reason = engine.LossTransient
+	case errors.Is(err, cluster.ErrMachineDown):
+		e.rec.Detector().ObserveSendFailure(machine)
+		reason = engine.LossMachineDown
+	case errors.Is(err, queue.ErrClosed):
+		reason = engine.LossMachineDown
+	}
+	divert := errors.Is(err, queue.ErrOverflow) && e.cfg.QueuePolicy == queue.Divert && e.cfg.OverflowStream != ""
+	for _, d := range ds {
+		switch {
+		case divert && d.Ev.Stream != e.cfg.OverflowStream:
+			div := d.Ev
+			div.Stream = e.cfg.OverflowStream
+			e.counters.Diverted.Add(1)
+			e.route(div, nil)
+		case reason == engine.LossOverflow:
 			e.counters.LostOverflow.Add(1)
-			e.lost.Record(fn, ev, engine.LossOverflow)
-			return
+			e.lost.Record(d.Worker, d.Ev, reason)
+		default:
+			e.counters.LostMachineDown.Add(1)
+			e.lost.Record(d.Worker, d.Ev, reason)
 		}
 	}
 }
@@ -970,7 +1083,7 @@ func (e *Engine) Ingest(ev event.Event) {
 		e.sink.Record(ev)
 	}
 	for _, fn := range e.app.Subscribers(ev.Stream) {
-		e.deliver(fn, ev, e.cfg.SourceThrottle)
+		e.deliver(fn, ev, e.cfg.SourceThrottle, nil)
 	}
 }
 
@@ -1040,7 +1153,7 @@ func (o ingressOps) ObserveSendFailure(machine string) {
 func (o ingressOps) ObserveTransientFailure(machine string) {
 	o.e.rec.Detector().ObserveTransientFailure(machine)
 }
-func (o ingressOps) Reroute(ev event.Event) { o.e.route(ev) }
+func (o ingressOps) Reroute(ev event.Event) { o.e.route(ev, nil) }
 
 // Subscribe attaches a live feed to a declared output stream: events
 // arrive on the subscription's channel in publication order, and a
@@ -1193,7 +1306,7 @@ func (a *recoveryAdapter) UnackedEvents(machine string) []engine.Envelope {
 }
 
 func (a *recoveryAdapter) Redeliver(function string, ev event.Event) {
-	a.e.deliver(function, ev, false)
+	a.e.deliver(function, ev, false, nil)
 }
 
 func (a *recoveryAdapter) RestartWorkers(machine string) {

@@ -3,9 +3,12 @@ package engine2
 import (
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"muppet/internal/core"
 	"muppet/internal/event"
 	"muppet/internal/kvstore"
 	"muppet/internal/slate"
@@ -35,6 +38,23 @@ func stageInFlightBatch(t *testing.T, e *Engine, victim string, n int) []wal.Sla
 	return recs
 }
 
+// parkingReplayApp is replayApp whose updater parks on release for
+// the keys park reports, so a test can hold a machine's threads and
+// build a backlog behind them without racing the drain.
+func parkingReplayApp(park func(key string) bool, release <-chan struct{}) *core.App {
+	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
+		if park(in.Key) {
+			<-release
+		}
+		n := 0
+		if sl != nil {
+			n, _ = strconv.Atoi(string(sl))
+		}
+		emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
+	}}
+	return core.NewApp("replay").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
+}
+
 // TestCrashRecoversInFlightFlushBatch is the subsystem's core
 // guarantee: a crash with dirty slates and an in-flight flush batch
 // loses zero flushed records. The WAL batch is replayed into the
@@ -43,8 +63,20 @@ func stageInFlightBatch(t *testing.T, e *Engine, victim string, n int) []wal.Sla
 // redelivered to those new owners, with both halves driven by the
 // shared recovery code path.
 func TestCrashRecoversInFlightFlushBatch(t *testing.T) {
+	const victim = "machine-02"
+	const n = 2000
+	key := func(i int) string { return fmt.Sprintf("k%d", i%50) }
+	// The victim's keys, fixed before any traffic; once armed, the
+	// updater parks on them until the crash has been taken.
+	victimKeys := map[string]bool{}
+	var armed atomic.Bool
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	app := parkingReplayApp(func(k string) bool { return armed.Load() && victimKeys[k] }, release)
+
 	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-	e, err := New(replayApp(), Config{
+	e, err := New(app, Config{
 		Machines: 4, ThreadsPerMachine: 2,
 		Store: store, StoreLevel: kvstore.Quorum,
 		// A far-future flush interval keeps every slate dirty, so the
@@ -56,25 +88,40 @@ func TestCrashRecoversInFlightFlushBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	defer unpark() // before Stop: parked threads hold the tracker
+	for i := 0; i < 50; i++ {
+		if e.MachineFor("U", key(i)) == victim {
+			victimKeys[key(i)] = true
+		}
+	}
 
-	const victim = "machine-02"
-	const n = 2000
 	// First wave fully processed: the victim's cache now holds dirty
 	// (never-flushed) slates for its share of the keys.
 	for i := 0; i < n/2; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: key(i)})
 	}
 	e.Drain()
 	staged := stageInFlightBatch(t, e, victim, 3)
-	// Second wave builds a backlog, then the machine dies mid-stream.
+	// Second wave: the victim's threads park on their first event, so
+	// every victim-owned event of the wave is still unacknowledged —
+	// queued or parked mid-process — when the machine dies.
+	armed.Store(true)
+	backlog := 0
 	for i := n / 2; i < n*3/4; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: key(i)})
+		if victimKeys[key(i)] {
+			backlog++
+		}
 	}
 
 	replayed, lostDirty := e.CrashMachineAndReplay(victim)
+	unpark()
 	t.Logf("failover: replayed %d events, lost %d dirty slates", replayed, lostDirty)
+	if replayed != backlog {
+		t.Fatalf("replayed %d events, want the victim's whole backlog of %d", replayed, backlog)
+	}
 	for i := n * 3 / 4; i < n; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: key(i)})
 	}
 	e.Drain()
 
