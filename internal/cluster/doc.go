@@ -57,9 +57,12 @@
 // # Wire format
 //
 // The TCP transport frames strict request/response exchanges as
-// u32-length-prefixed bodies encoded with the framed pooled codec from
-// internal/slate (PR 4), one pooled connection per destination with
-// reconnect/backoff, and one coalesced write+flush per SendBatch so
-// the PR 3 batch amortization survives the socket hop. See wire.go for
-// the exact layout.
+// u32-length-prefixed bodies, one pooled connection per destination
+// with reconnect/backoff, and one coalesced write+flush per SendBatch
+// so batch amortization survives the socket hop. A body is the plain
+// wire message — no compression, no codec header, no version byte —
+// so every node of a cluster must run the same build. The receiver
+// decodes a frame with few allocations: worker, stream and node names
+// come from a bounded per-connection intern table, and all of a
+// frame's values share one buffer. See wire.go for the exact layout.
 package cluster

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"muppet/internal/slate"
 )
 
 // TCPConfig tunes the TCP transport.
@@ -65,13 +63,13 @@ type TCPStats struct {
 	DialErrors uint64 // failed dial attempts
 	FramesOut  uint64 // request frames written
 	FramesIn   uint64 // request frames served
-	BytesOut   uint64 // encoded request bytes written (frame bodies)
-	BytesIn    uint64 // encoded request bytes served (frame bodies)
+	BytesOut   uint64 // request bytes written (frame bodies, no length prefix)
+	BytesIn    uint64 // request bytes served (frame bodies, no length prefix)
 }
 
 // TCP is the real-network Transport: stdlib net, one pooled connection
 // per destination with reconnect/backoff, length-prefixed frames whose
-// bodies go through the framed pooled slate codec, and write coalescing
+// bodies are the plain wire messages of wire.go, and write coalescing
 // so a whole SendBatch costs one buffered write + flush rather than a
 // syscall per event.
 //
@@ -116,8 +114,7 @@ type tcpPeer struct {
 	br      *bufio.Reader
 	next    time.Time     // earliest next dial attempt
 	backoff time.Duration // current redial delay
-	plain   []byte        // scratch: pre-codec message
-	body    []byte        // scratch: encoded frame body
+	buf     []byte        // scratch: the request, then the response
 }
 
 // NewTCP builds the transport and, if cfg.Listen is set, binds the
@@ -260,7 +257,7 @@ func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []Batch
 		return 0, nil, err
 	}
 
-	p.plain = encodeRequest(p.plain[:0], id, machine, ds)
+	p.buf = encodeRequest(p.buf[:0], id, machine, ds)
 	resp, sent, err := p.exchangeLocked(t)
 	if err != nil {
 		p.failLocked(t)
@@ -306,7 +303,7 @@ func (t *TCP) Query(machine string, req []byte) ([]byte, error) {
 		return nil, err
 	}
 
-	p.plain = encodeQueryRequest(p.plain[:0], machine, req)
+	p.buf = encodeQueryRequest(p.buf[:0], machine, req)
 	resp, _, err := p.exchangeLocked(t)
 	if err != nil {
 		p.failLocked(t)
@@ -350,8 +347,8 @@ func (p *tcpPeer) connectLocked(t *TCP) error {
 	return nil
 }
 
-// exchangeLocked writes the staged plain request as one frame and
-// reads the response frame.
+// exchangeLocked writes the request staged in p.buf as one frame and
+// reads the response frame back into p.buf.
 func (p *tcpPeer) exchangeLocked(t *TCP) (resp []byte, sent bool, err error) {
 	// sent flips once the request frame is fully flushed: from that
 	// point a failure is indeterminate — a whole frame went out, so the
@@ -363,19 +360,17 @@ func (p *tcpPeer) exchangeLocked(t *TCP) (resp []byte, sent bool, err error) {
 		// without the IO timeout a hung peer would wedge the sender.
 		return nil, false, fmt.Errorf("set deadline: %w", err)
 	}
-	p.body = slate.AppendEncode(p.body[:0], p.plain)
-	if err := writeFrame(p.bw, p.body); err != nil {
+	if err := writeFrame(p.bw, p.buf); err != nil {
 		return nil, false, err
 	}
 	t.framesOut.Add(1)
-	t.bytesOut.Add(uint64(len(p.body)))
-	body, err := readFrameInto(p.br, p.body[:0], t.cfg.MaxFrame)
+	t.bytesOut.Add(uint64(len(p.buf)))
+	resp, err = readFrameInto(p.br, p.buf[:0], t.cfg.MaxFrame)
 	if err != nil {
 		return nil, true, err
 	}
-	p.body = body
-	dec, err := slate.Decode(body)
-	return dec, true, err
+	p.buf = resp
+	return resp, true, nil
 }
 
 // failLocked tears down the connection and arms the redial backoff.
@@ -441,19 +436,16 @@ func (t *TCP) serveConn(conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	var body, plain []byte
+	var req, resp []byte
+	var names internTable // this peer's worker, stream and node names
 	for {
 		var err error
-		body, err = readFrameInto(br, body[:0], t.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		t.framesIn.Add(1)
-		t.bytesIn.Add(uint64(len(body)))
-		req, err := slate.Decode(body)
+		req, err = readFrameInto(br, req[:0], t.cfg.MaxFrame)
 		if err != nil || len(req) == 0 {
 			return
 		}
+		t.framesIn.Add(1)
+		t.bytesIn.Add(uint64(len(req)))
 		if req[0] == wireQueryReq {
 			machine, payload, err := decodeQueryRequest(req)
 			if err != nil {
@@ -469,14 +461,13 @@ func (t *TCP) serveConn(conn net.Conn) {
 					result = []byte(err.Error())
 				}
 			}
-			plain = encodeQueryResponse(plain[:0], status, result)
-			body = slate.AppendEncode(body[:0], plain)
-			if err := writeFrame(bw, body); err != nil {
+			resp = encodeQueryResponse(resp[:0], status, result)
+			if err := writeFrame(bw, resp); err != nil {
 				return
 			}
 			continue
 		}
-		id, machine, ds, err := decodeRequest(req)
+		id, machine, ds, err := decodeRequest(req, &names)
 		if err != nil {
 			return
 		}
@@ -489,9 +480,8 @@ func (t *TCP) serveConn(conn net.Conn) {
 			accepted, rejects, err = clu.DeliverLocal(machine, id, ds)
 			status = statusOf(err)
 		}
-		plain = encodeResponse(plain[:0], status, accepted, rejects)
-		body = slate.AppendEncode(body[:0], plain)
-		if err := writeFrame(bw, body); err != nil {
+		resp = encodeResponse(resp[:0], status, accepted, rejects)
+		if err := writeFrame(bw, resp); err != nil {
 			return
 		}
 	}

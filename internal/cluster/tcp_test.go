@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"testing"
@@ -119,16 +120,9 @@ func TestTCPOversizedFrameRejected(t *testing.T) {
 	t.Cleanup(func() { sender.Close(); host.Close() })
 	host.SetBatchHandler("machine-01", func(ds []Delivery) []error { return nil })
 
-	// The frame body goes through the compressing slate codec, so the
-	// payload must be incompressible to actually exceed MaxFrame.
+	// Frame bodies are not compressed, so any payload past MaxFrame
+	// is oversized.
 	payload := make([]byte, 64<<10)
-	x := uint32(2463534242)
-	for i := range payload {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		payload[i] = byte(x)
-	}
 	big := []Delivery{{Worker: "w", Ev: event.Event{Key: "k", Value: payload}}}
 	if _, _, err := sender.SendBatch("machine-01", big); err == nil {
 		t.Fatal("oversized response accepted")
@@ -200,5 +194,58 @@ func TestTCPMachineDownKeepsConnection(t *testing.T) {
 	}
 	if st := trA.Stats(); st.Dials != 1 {
 		t.Fatalf("dials = %d, want 1: a machine-down answer must keep the pooled connection", st.Dials)
+	}
+}
+
+// A frame body is the plain request: the kind byte comes first, with
+// no codec header in front of it.
+func TestTCPFrameBodyIsPlainRequest(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tr, err := NewTCP(TCPConfig{Peers: map[string]string{"machine-01": ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	type frame struct {
+		body []byte
+		err  error
+	}
+	got := make(chan frame, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			got <- frame{err: err}
+			return
+		}
+		defer conn.Close()
+		body, err := readFrameInto(bufio.NewReader(conn), nil, 1<<20)
+		got <- frame{body, err}
+		if err == nil {
+			writeFrame(bufio.NewWriter(conn), encodeResponse(nil, statusOK, 1, nil))
+		}
+	}()
+
+	id := BatchID{Sender: "node-a", Epoch: 3, Seq: 4}
+	ds := []Delivery{{Worker: "w", Ev: event.Event{Stream: "S1", Key: "k", Value: []byte("v")}}}
+	if _, _, err := tr.SendBatch("machine-01", id, ds); err != nil {
+		t.Fatal(err)
+	}
+	f := <-got
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	if len(f.body) == 0 || f.body[0] != wireReq {
+		t.Fatalf("frame body starts %q, want the request kind byte %q", f.body[:min(len(f.body), 1)], wireReq)
+	}
+	if want := encodeRequest(nil, id, "machine-01", ds); string(f.body) != string(want) {
+		t.Fatalf("frame body = %x, want the plain request %x", f.body, want)
+	}
+	if st := tr.Stats(); st.BytesOut != uint64(len(f.body)) {
+		t.Fatalf("BytesOut = %d, want the %d-byte body", st.BytesOut, len(f.body))
 	}
 }

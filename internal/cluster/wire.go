@@ -13,8 +13,7 @@ import (
 // request/response over one connection, so no request IDs are needed:
 //
 //	frame    = u32 big-endian length ++ body
-//	body     = slate.Encode(plain)            (PR 4 framed pooled codec)
-//	plain    = request | response
+//	body     = request | response         (plain bytes, no codec)
 //	request  = 'Q' ++ str(sender) ++ uvarint(epoch) ++ uvarint(seq)
 //	           ++ str(machine) ++ uvarint(n) ++ n*delivery
 //	delivery = str(worker) ++ str(stream) ++ varint(ts) ++ uvarint(seq)
@@ -23,6 +22,12 @@ import (
 //	           ++ uvarint(nrej) ++ nrej*(uvarint(index) ++ u8 code)
 //	str      = uvarint(len) ++ bytes
 //	blob     = uvarint(0) for nil, uvarint(len+1) ++ bytes otherwise
+//
+// A frame body is the message itself: batches are small and mostly
+// short keys and values, so compressing them cost far more CPU than
+// the bytes it saved on a LAN. There is no version byte and no
+// fallback for older (deflated) frames — every node of a cluster must
+// run the same build.
 //
 // Delivery.Tag never crosses the wire: it is a sender-side batch index
 // and rejections are reported by batch position. Reject codes map back
@@ -215,13 +220,30 @@ func (r *wireReader) take(n uint64) []byte {
 
 func (r *wireReader) str() string { return string(r.take(r.uvarint())) }
 
-func (r *wireReader) blob() []byte {
+// name reads a str through the intern table. prev is the same field of
+// the previous delivery; a batch's names mostly repeat, so matching it
+// skips the table lookup.
+func (r *wireReader) name(names *internTable, prev string) string {
+	b := r.take(r.uvarint())
+	if string(b) == prev {
+		return prev
+	}
+	return names.get(b)
+}
+
+// blobRef reads a blob without copying it: a non-nil result aliases
+// the frame and must be copied before the frame buffer is reused.
+func (r *wireReader) blobRef() []byte {
 	n := r.uvarint()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	b := r.take(n - 1)
-	if r.err != nil {
+	return r.take(n - 1)
+}
+
+func (r *wireReader) blob() []byte {
+	b := r.blobRef()
+	if b == nil {
 		return nil
 	}
 	out := make([]byte, len(b))
@@ -229,9 +251,42 @@ func (r *wireReader) blob() []byte {
 	return out
 }
 
-// encodeRequest appends the plain (pre-codec) request for a batch
-// addressed to machine. The BatchID rides in front of the address so
-// the receiving node can deduplicate retried and duplicated frames.
+// Intern table bounds: the names worth sharing (workers, streams,
+// senders, machines) are few and short, and a garbled peer must not be
+// able to grow a connection's table without limit.
+const (
+	maxInterned    = 256
+	maxInternedLen = 128
+)
+
+// internTable hands out one shared string per distinct name, so a
+// connection's steady stream of frames decodes worker and stream names
+// without allocating. It is owned by one connection's serve loop and
+// needs no lock. A nil table allocates every string.
+type internTable struct {
+	m map[string]string
+}
+
+func (t *internTable) get(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok { // the lookup does not allocate
+		return s
+	}
+	s := string(b)
+	if len(b) <= maxInternedLen && len(t.m) < maxInterned {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
+}
+
+// encodeRequest appends the request for a batch addressed to machine.
+// The BatchID rides in front of the address so the receiving node can
+// deduplicate retried and duplicated frames.
 func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte {
 	dst = append(dst, wireReq)
 	dst = appendStr(dst, id.Sender)
@@ -252,17 +307,25 @@ func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte
 	return dst
 }
 
-// decodeRequest parses a plain request. The deliveries' Tag fields are
-// their batch positions, so server-side rejects report the right index.
-func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
+// decodeRequest parses a request. The deliveries' Tag fields are their
+// batch positions, so server-side rejects report the right index.
+//
+// Nothing returned aliases p, so the caller may reuse the frame buffer.
+// The allocations are kept per frame where possible: sender, machine,
+// worker and stream names come from names (nil allocates each), and
+// every Value is carved from one shared buffer, capped so an append to
+// one value reallocates instead of overwriting the next. Each Key is
+// its own allocation: keys become slate-cache keys and outlive the
+// frame by far, so they must not pin it.
+func decodeRequest(p []byte, names *internTable) (id BatchID, machine string, ds []Delivery, err error) {
 	r := wireReader{p: p}
 	if k := r.byte(); r.err == nil && k != wireReq {
 		return BatchID{}, "", nil, fmt.Errorf("cluster: unexpected wire kind %q", k)
 	}
-	id.Sender = r.str()
+	id.Sender = r.name(names, "")
 	id.Epoch = r.uvarint()
 	id.Seq = r.uvarint()
-	machine = r.str()
+	machine = r.name(names, "")
 	n := r.uvarint()
 	if r.err != nil {
 		return BatchID{}, "", nil, r.err
@@ -270,26 +333,39 @@ func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err err
 	if n > uint64(len(r.p)) { // each delivery takes >= 1 byte
 		return BatchID{}, "", nil, errWireTruncated
 	}
-	ds = make([]Delivery, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var d Delivery
-		d.Worker = r.str()
-		d.Ev.Stream = r.str()
+	ds = make([]Delivery, n)
+	values := 0
+	var worker, stream string // the previous delivery's names
+	for i := range ds {
+		d := &ds[i]
+		worker = r.name(names, worker)
+		stream = r.name(names, stream)
+		d.Worker, d.Ev.Stream = worker, stream
 		d.Ev.TS = event.Timestamp(r.varint())
 		d.Ev.Seq = r.uvarint()
 		d.Ev.Key = r.str()
-		d.Ev.Value = r.blob()
+		d.Ev.Value = r.blobRef() // aliases p until the copy below
 		d.Ev.Ingress = r.varint()
-		d.Tag = int(i)
+		d.Tag = i
 		if r.err != nil {
 			return BatchID{}, "", nil, r.err
 		}
-		ds = append(ds, d)
+		values += len(d.Ev.Value)
+	}
+	buf := make([]byte, 0, values)
+	for i := range ds {
+		v := ds[i].Ev.Value
+		if v == nil {
+			continue
+		}
+		a := len(buf)
+		buf = append(buf, v...)
+		ds[i].Ev.Value = buf[a:len(buf):len(buf)]
 	}
 	return id, machine, ds, nil
 }
 
-// encodeResponse appends the plain response for one exchange.
+// encodeResponse appends the response for one exchange.
 func encodeResponse(dst []byte, status byte, accepted int, rejects []BatchReject) []byte {
 	dst = append(dst, wireResp, status)
 	dst = binary.AppendUvarint(dst, uint64(accepted))
@@ -301,7 +377,7 @@ func encodeResponse(dst []byte, status byte, accepted int, rejects []BatchReject
 	return dst
 }
 
-// encodeQueryRequest appends the plain query request addressed to
+// encodeQueryRequest appends the query request addressed to
 // machine; the payload is the query subsystem's encoded spec.
 func encodeQueryRequest(dst []byte, machine string, payload []byte) []byte {
 	dst = append(dst, wireQueryReq)
@@ -309,7 +385,7 @@ func encodeQueryRequest(dst []byte, machine string, payload []byte) []byte {
 	return appendBlob(dst, payload)
 }
 
-// decodeQueryRequest parses a plain query request.
+// decodeQueryRequest parses a query request.
 func decodeQueryRequest(p []byte) (machine string, payload []byte, err error) {
 	r := wireReader{p: p}
 	if k := r.byte(); r.err == nil && k != wireQueryReq {
@@ -323,7 +399,7 @@ func decodeQueryRequest(p []byte) (machine string, payload []byte, err error) {
 	return machine, payload, nil
 }
 
-// encodeQueryResponse appends the plain query response: the partial
+// encodeQueryResponse appends the query response: the partial
 // result on statusOK, the error text on statusQueryFailed, nothing
 // otherwise.
 func encodeQueryResponse(dst []byte, status byte, payload []byte) []byte {
@@ -331,7 +407,7 @@ func encodeQueryResponse(dst []byte, status byte, payload []byte) []byte {
 	return appendBlob(dst, payload)
 }
 
-// decodeQueryResponse parses a plain query response.
+// decodeQueryResponse parses a query response.
 func decodeQueryResponse(p []byte) (status byte, payload []byte, err error) {
 	r := wireReader{p: p}
 	if k := r.byte(); r.err == nil && k != wireQueryResp {
@@ -354,7 +430,7 @@ func queryStatusErr(status byte, machine string, payload []byte) error {
 	return statusErr(status, machine)
 }
 
-// decodeResponse parses a plain response, mapping reject codes back to
+// decodeResponse parses a response, mapping reject codes back to
 // the queue sentinel errors.
 func decodeResponse(p []byte) (status byte, accepted int, rejects []BatchReject, err error) {
 	r := wireReader{p: p}

@@ -130,6 +130,17 @@ type fk struct {
 type thread struct {
 	idx int
 	q   queue.Slot[engine.Envelope]
+	// running is the runKey of the (function, key) this thread is
+	// executing, 0 while idle: the dispatcher's "follow the thread
+	// already processing this key" hint (Section 4.5). It is only a
+	// hint — a hash collision, or a revival's overlapping loops
+	// overwriting it, costs the follow, never correctness, because the
+	// slate locks enforce the single writer.
+	running atomic.Uint64
+	// emitting is the Seq of the event this thread's worker is handing
+	// to a local queue right now, 0 otherwise (set under Block only):
+	// how dispatchLocal recognizes a worker feeding its own queue.
+	emitting atomic.Uint64
 }
 
 func (t *thread) queue() *queue.Queue[engine.Envelope] { return t.q.Queue() }
@@ -241,13 +252,6 @@ type machine struct {
 	threads []*thread
 	cache   slate.SlateStore
 
-	// runningMu guards running: fk -> thread idx -> count of
-	// invocations of that (function, key) currently executing on the
-	// thread. The dispatcher's "follow the thread already processing
-	// this key" rule reads it (Section 4.5).
-	runningMu sync.Mutex
-	running   map[fk]map[int]int
-
 	// locks is the striped per-slate lock table (one stripe mutex per
 	// acquisition instead of a machine-wide one).
 	locks *slateLockTable
@@ -295,21 +299,6 @@ func (m *machine) release(sc *dispatchScratch) {
 		sc.idxs[i] = sc.idxs[i][:0]
 	}
 	m.scratchPool.Put(sc)
-}
-
-func (m *machine) markRunning(k fk, idx int, delta int) {
-	m.runningMu.Lock()
-	if m.running[k] == nil {
-		m.running[k] = make(map[int]int)
-	}
-	m.running[k][idx] += delta
-	if m.running[k][idx] <= 0 {
-		delete(m.running[k], idx)
-		if len(m.running[k]) == 0 {
-			delete(m.running, k)
-		}
-	}
-	m.runningMu.Unlock()
 }
 
 // Engine is the Muppet 2.0 runtime for one application.
@@ -375,9 +364,8 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 	e.clu.OnRemoteInflight(func(delta int) { e.tracker.Add(delta) })
 	for _, name := range e.clu.LocalNames() {
 		m := &machine{
-			name:    name,
-			running: make(map[fk]map[int]int),
-			locks:   newSlateLockTable(),
+			name:  name,
+			locks: newSlateLockTable(),
 		}
 		if cfg.ReplayLog {
 			m.log = wal.New()
@@ -507,21 +495,17 @@ func (e *Engine) flusherLoop(m *machine) {
 // path reads the live queue, the batch path substitutes a cached view
 // so a batch pays the queue-length locks once, not per delivery.
 func (e *Engine) selectThread(m *machine, k fk, lenOf func(int) int) int {
-	p, s := e.candidates(m, k)
+	p, s, h := threadPair(len(m.threads), k)
 	if e.cfg.DisableDualQueue || s == p {
 		return p
 	}
-	m.runningMu.Lock()
-	holders := m.running[k]
-	_, onP := holders[p]
-	_, onS := holders[s]
-	m.runningMu.Unlock()
+	rk := runKey(h)
 	switch {
-	case onP:
+	case m.threads[p].running.Load() == rk:
 		// The primary thread is processing this key right now:
 		// follow it.
 		return p
-	case onS:
+	case m.threads[s].running.Load() == rk:
 		// The secondary thread is processing this key: follow it.
 		return s
 	case spill(lenOf(p), lenOf(s), e.cfg.SecondarySpillFactor):
@@ -536,9 +520,21 @@ func (e *Engine) selectThread(m *machine, k fk, lenOf func(int) int) int {
 // the receiving machine. The worker argument carries the destination
 // function name.
 func (e *Engine) dispatchLocal(m *machine, function string, ev event.Event) error {
-	target := e.selectThread(m, fk{fn: function, key: ev.Key}, func(i int) int {
+	k := fk{fn: function, key: ev.Key}
+	target := e.selectThread(m, k, func(i int) int {
 		return m.threads[i].queue().Len()
 	})
+	if ev.Seq != 0 && m.threads[target].emitting.Load() == ev.Seq {
+		// The sender is the target thread's own worker, mid-invocation.
+		// It is that queue's only consumer, so under Block it would
+		// wait on itself forever once the queue fills: use the other
+		// candidate (with a single thread there is none).
+		if p, s := e.candidates(m, k); target == p {
+			target = s
+		} else {
+			target = p
+		}
+	}
 	env := engine.Envelope{Func: function, Ev: ev}
 	if e.tracer.Sample() {
 		env.Ev.TraceEnq = time.Now().UnixNano()
@@ -638,19 +634,29 @@ func spill(primaryLen, secondaryLen, factor int) bool {
 // per delivery on the dispatch hot path, and the concatenation's
 // allocation was pure overhead.
 func (e *Engine) candidates(m *machine, k fk) (int, int) {
-	n := len(m.threads)
+	p, s, _ := threadPair(len(m.threads), k)
+	return p, s
+}
+
+// threadPair picks the pair's two threads out of n and also returns
+// the primary hash, which runKey turns into the running-slot value.
+func threadPair(n int, k fk) (p, s int, h uint64) {
 	if n == 1 {
-		return 0, 0
+		return 0, 0, 0
 	}
-	h1 := hashring.HashPair(k.fn, 0x00, k.key)
+	h = hashring.HashPair(k.fn, 0x00, k.key)
 	h2 := hashring.HashPair(k.key, 0x01, k.fn)
-	p := int(h1 % uint64(n))
-	s := int(h2 % uint64(n))
+	p = int(h % uint64(n))
+	s = int(h2 % uint64(n))
 	if s == p {
 		s = (p + 1) % n
 	}
-	return p, s
+	return p, s, h
 }
+
+// runKey is the thread.running value for a (function, key) whose
+// primary hash is h: never 0, which marks an idle thread.
+func runKey(h uint64) uint64 { return h | 1 }
 
 // threadLoop is one worker thread: take the next event from the
 // queue, run the map or update function, update slates, send outputs,
@@ -672,7 +678,7 @@ func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelo
 	// scratch) that may briefly overlap the old loop's final
 	// invocation, so the emitter cannot live on the shared thread slot.
 	var em collectEmitter
-	var ob outbox
+	ob := outbox{self: th}
 	for {
 		env, err := q.Get()
 		if err != nil {
@@ -696,15 +702,14 @@ func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelo
 			e.tracker.Dec()
 			continue
 		}
-		k := fk{fn: env.Func, key: env.Ev.Key}
 		var sp *obs.Span
 		if env.Ev.TraceEnq != 0 {
 			sp = e.tracer.Start(env.Ev.Stream, env.Ev.Ingress, env.Ev.TraceEnq)
 		}
-		m.markRunning(k, th.idx, +1)
+		th.running.Store(runKey(hashring.HashPair(env.Func, 0x00, env.Ev.Key)))
 		staged := ob.n
 		e.process(m, &em, &ob, env, sp)
-		m.markRunning(k, th.idx, -1)
+		th.running.Store(0)
 		if ob.n == staged {
 			e.finish(m, env.WalSeq, sp)
 		} else {
@@ -737,6 +742,7 @@ const outboxCap = 128
 // processed parents whose acknowledgement waits on the flush. In a
 // single-node cluster it never holds anything.
 type outbox struct {
+	self    *thread // the thread whose loop owns this outbox
 	dests   []outboxDest
 	n       int
 	parents []pendingParent
@@ -1004,7 +1010,14 @@ func (e *Engine) deliver(fn string, ev event.Event, throttle bool, ob *outbox) {
 			ob.add(machineName, cluster.Delivery{Worker: fn, Ev: ev})
 			return
 		}
+		selfGuard := ob != nil && e.cfg.QueuePolicy == queue.Block
+		if selfGuard {
+			ob.self.emitting.Store(ev.Seq)
+		}
 		err := e.clu.Send(machineName, fn, ev)
+		if selfGuard {
+			ob.self.emitting.Store(0)
+		}
 		if err == nil {
 			if !local {
 				// Handed off: the hosting node's tracker took the event

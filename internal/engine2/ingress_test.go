@@ -532,3 +532,52 @@ func TestAttachOutputNonOutputStreamPanics(t *testing.T) {
 	}()
 	e.AttachOutput("nope", engine.OutputHandlerFunc(func(event.Event) {}))
 }
+
+// A worker whose emit targets its own full queue under Block would
+// wait on itself forever: it is that queue's only consumer. The hot
+// key is chosen so the map and the update it feeds share a primary
+// thread, which makes the self-feed the common case.
+func TestBlockPolicyWorkerNeverWaitsOnOwnQueue(t *testing.T) {
+	m1 := core.MapFunc{FName: "M1", Fn: func(emit core.Emitter, in event.Event) {
+		emit.Publish("S2", in.Key, in.Value)
+	}}
+	u1 := core.UpdateFunc{FName: "U1", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
+		n, _ := strconv.Atoi(string(sl))
+		emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
+	}}
+	app := core.NewApp("selffeed").Input("S1").
+		AddMap(m1, []string{"S1"}, []string{"S2"}).
+		AddUpdate(u1, []string{"S2"}, nil, 0)
+	e, err := New(app, Config{Machines: 1, ThreadsPerMachine: 4, QueueCapacity: 2, QueuePolicy: queue.Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	m := e.machines["machine-00"]
+	key := ""
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		pm, _ := e.candidates(m, fk{fn: "M1", key: k})
+		pu, _ := e.candidates(m, fk{fn: "U1", key: k})
+		if pm == pu {
+			key = k
+		}
+	}
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: key, Value: []byte("v")})
+		}
+		e.Drain()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ingest wedged: a worker is waiting on its own full queue")
+	}
+	if got, _ := strconv.Atoi(string(e.Slate("U1", key))); got != n {
+		t.Fatalf("count = %d, want %d", got, n)
+	}
+}

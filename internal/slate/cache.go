@@ -105,6 +105,12 @@ type entry struct {
 	codec   Codec
 	stale   bool
 	pins    int
+
+	// flushing marks an entry whose value a group commit has taken
+	// (and marked clean) but not yet written: until the store write
+	// returns, eviction must skip it, or a miss in that window would
+	// reload the older stored value.
+	flushing bool
 }
 
 // Cache is an LRU slate cache with dirty tracking. It is safe for

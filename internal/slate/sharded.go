@@ -345,18 +345,23 @@ func (s *Sharded) Delete(k Key) {
 }
 
 // insertLocked adds a new entry to sh, evicting as needed. Caller
-// holds sh.mu.
+// holds sh.mu. Room is made before the entry goes in, so the new entry
+// is never its own victim: when every resident entry is pinned or
+// being flushed, the shard holds one more than its capacity instead.
+// (Evicting the newcomer would hand callers a detached entry — a
+// GetDecoded pin or a PutDecoded install that no later read or flush
+// could see.)
 func (s *Sharded) insertLocked(sh *shard, k Key, value []byte, dirty bool) *entry {
+	for len(sh.items) >= sh.capacity {
+		if !s.evictLocked(sh) {
+			break
+		}
+	}
 	e := &entry{key: k, value: value, dirty: dirty}
 	e.elem = sh.lru.PushFront(e)
 	sh.items[k] = e
 	if dirty {
 		sh.dirty[k] = e
-	}
-	for len(sh.items) > sh.capacity {
-		if !s.evictLocked(sh) {
-			break
-		}
 	}
 	return e
 }
@@ -364,12 +369,13 @@ func (s *Sharded) insertLocked(sh *shard, k Key, value []byte, dirty bool) *entr
 // evictLocked evicts the shard's least recently used unpinned entry; a
 // pinned entry's decoded object is in an updater's hands and cannot be
 // encoded for persistence, so the walk skips it (the shard may exceed
-// capacity for the pin's microseconds-long lifetime). It reports
-// whether a victim was found.
+// capacity for the pin's microseconds-long lifetime). It skips entries
+// a flush is writing for the same reason: they are clean only once the
+// store has them. It reports whether a victim was found.
 func (s *Sharded) evictLocked(sh *shard) bool {
 	for el := sh.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
-		if e.pins > 0 {
+		if e.pins > 0 || e.flushing {
 			continue
 		}
 		if e.dirty && s.cfg.Store != nil {
@@ -399,11 +405,17 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 // batch, and write it to the store with a single multi-put. It returns
 // the number of slates durably written. Failed batches are re-marked
 // dirty and retried by the next flush.
+//
+// An entry is marked clean when its value is taken, under the shard
+// lock, but written after the lock is released; it stays resident
+// (flushing) until its batch's write returns, so neither a miss in
+// between nor a failed write can lose the update.
 func (s *Sharded) FlushDirty() (int, error) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	start := time.Now()
 	var recs []BatchRecord
+	var ents []*entry // parallel to recs
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for k, e := range sh.dirty {
@@ -419,8 +431,10 @@ func (s *Sharded) FlushDirty() (int, error) {
 				continue
 			}
 			e.dirty = false
+			e.flushing = s.cfg.Store != nil
 			delete(sh.dirty, k)
 			recs = append(recs, BatchRecord{K: k, Value: e.value, TTL: s.ttl(k)})
+			ents = append(ents, e)
 		}
 		sh.mu.Unlock()
 	}
@@ -439,7 +453,10 @@ func (s *Sharded) FlushDirty() (int, error) {
 	flushed := 0
 	chunks := microbatch.ChunkBy(recs, s.cfg.MaxFlushBatch, s.cfg.MaxFlushBytes,
 		func(r BatchRecord) int64 { return int64(len(r.Value)) })
+	off := 0
 	for _, chunk := range chunks {
+		chunkEnts := ents[off : off+len(chunk)]
+		off += len(chunk)
 		var walSeq uint64
 		if s.cfg.WAL != nil {
 			walRecs := make([]wal.SlateRecord, len(chunk))
@@ -451,6 +468,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 		s.batches.Add(1)
 		s.batchSizes.Observe(int64(len(chunk)))
 		err := s.saveChunk(chunk)
+		s.settle(chunk, chunkEnts, err != nil)
 		if err != nil {
 			s.flushErrors.Add(1)
 			if firstErr == nil {
@@ -461,7 +479,6 @@ func (s *Sharded) FlushDirty() (int, error) {
 			// outage cannot grow the log without bound, and take the
 			// failed writes back out of the saves count so retries do
 			// not inflate StoreSaves past actual store writes.
-			s.remarkDirty(chunk)
 			s.flushSaves.Add(^uint64(len(chunk) - 1))
 			if s.cfg.WAL != nil {
 				s.cfg.WAL.AbortBatch(walSeq)
@@ -493,16 +510,26 @@ func (s *Sharded) saveChunk(chunk []BatchRecord) error {
 	return firstErr
 }
 
-// remarkDirty restores the dirty flag of a failed batch's entries so a
-// later flush retries them (unless they were evicted or deleted in the
-// meantime — those are gone either way).
-func (s *Sharded) remarkDirty(chunk []BatchRecord) {
-	for _, r := range chunk {
+// settle ends a written batch's flush: its entries become evictable
+// again. After a successful write the shard is trimmed back to
+// capacity (inserts during the write could not evict these entries);
+// after a failed one the entries are re-marked dirty so a later flush
+// retries them, and no trim runs, since an eviction would write to the
+// store that just failed. An entry deleted or crashed away in the
+// meantime is no longer the resident one and is left alone.
+func (s *Sharded) settle(chunk []BatchRecord, ents []*entry, failed bool) {
+	for i, r := range chunk {
+		e := ents[i]
 		sh := s.shardFor(r.K)
 		sh.mu.Lock()
-		if e, ok := sh.items[r.K]; ok {
+		e.flushing = false
+		switch {
+		case failed && sh.items[r.K] == e:
 			e.dirty = true
 			sh.dirty[r.K] = e
+		case !failed:
+			for len(sh.items) > sh.capacity && s.evictLocked(sh) {
+			}
 		}
 		sh.mu.Unlock()
 	}

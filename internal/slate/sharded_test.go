@@ -375,3 +375,124 @@ func TestShardedCapacityClamp(t *testing.T) {
 		t.Fatalf("len = %d, want <= 2", got)
 	}
 }
+
+// gatedBatchStore is a fakeBatchStore whose SaveBatch announces itself
+// on entered and then waits for release to close, holding a group
+// commit between "marked clean" and "written".
+type gatedBatchStore struct {
+	*fakeBatchStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGatedBatchStore() *gatedBatchStore {
+	return &gatedBatchStore{
+		fakeBatchStore: newFakeBatchStore(),
+		entered:        make(chan struct{}, 1),
+		release:        make(chan struct{}),
+	}
+}
+
+func (g *gatedBatchStore) SaveBatch(recs []BatchRecord) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.release
+	return g.fakeBatchStore.SaveBatch(recs)
+}
+
+// flushWithEvictionInWindow stores an old value for key A, caches a
+// newer one, and starts a flush whose write blocks. While it is
+// blocked, an insert into the one-slate cache tries to evict A, and a
+// Get of A must still see the newer value. It returns the flush's
+// error once the write is released.
+func flushWithEvictionInWindow(t *testing.T, s *Sharded, gs *gatedBatchStore) error {
+	t.Helper()
+	a := k("U", "A")
+	if err := s.Put(a, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.FlushDirty()
+		done <- err
+	}()
+	<-gs.entered
+	if err := s.Put(k("U", "B"), []byte("b")); err != nil { // forces an eviction
+		t.Fatal(err)
+	}
+	if v, err := s.Get(a); err != nil || string(v) != "new" {
+		t.Fatalf("Get during the flush = %q, %v; want the newer value %q", v, err, "new")
+	}
+	close(gs.release)
+	return <-done
+}
+
+// An entry a flush has marked clean but not yet written must not be
+// evicted: a miss in that window would reload the older stored value.
+func TestShardedFlushInFlightNotEvicted(t *testing.T) {
+	gs := newGatedBatchStore()
+	gs.data[k("U", "A")] = []byte("old")
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 1, Policy: Interval, Store: gs})
+	if err := flushWithEvictionInWindow(t, s, gs); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Get(k("U", "A")); string(v) != "new" {
+		t.Fatalf("Get after the flush = %q, want %q", v, "new")
+	}
+	if got := string(gs.data[k("U", "A")]); got != "new" {
+		t.Fatalf("stored A = %q, want %q", got, "new")
+	}
+	if n := s.Len(); n > 1 {
+		t.Fatalf("resident slates after the flush = %d, want <= capacity 1", n)
+	}
+}
+
+// A failed write must keep the update: the entry stayed resident, so
+// it is re-marked dirty and the next flush lands it.
+func TestShardedFailedFlushKeepsUpdate(t *testing.T) {
+	gs := newGatedBatchStore()
+	gs.data[k("U", "A")] = []byte("old")
+	gs.failNext = 1
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 1, Policy: Interval, Store: gs})
+	if err := flushWithEvictionInWindow(t, s, gs); err == nil {
+		t.Fatal("want the injected write failure")
+	}
+	// A is re-marked; B, inserted during the write, is dirty too.
+	if got := s.DirtyCount(); got != 2 {
+		t.Fatalf("dirty after the failed flush = %d, want 2 (A and B)", got)
+	}
+	if n, err := s.FlushDirty(); err != nil || n != 2 {
+		t.Fatalf("retry flush = %d, %v; want 2, nil", n, err)
+	}
+	if got := string(gs.data[k("U", "A")]); got != "new" {
+		t.Fatalf("stored A = %q, want %q", got, "new")
+	}
+}
+
+// When every resident entry of a shard is pinned, an insert must not
+// evict the newcomer itself: the caller would be left holding a
+// detached entry, and its update would never reach the store.
+func TestShardedInsertNeverEvictsNewcomer(t *testing.T) {
+	fs := newFakeStore()
+	a, b := k("U", "A"), k("U", "B")
+	fs.data[b] = []byte("5")
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 1, Policy: Interval, Store: fs})
+	c := &countingCodec{}
+	typedUpdate(t, s, a, c)
+	va, err := s.GetDecoded(a, c) // pin A: the shard has no evictable entry
+	if err != nil || va == nil {
+		t.Fatal("pin setup failed")
+	}
+	typedUpdate(t, s, b, c) // loads 5, stores 6
+	if err := s.PutDecoded(a, va, c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(fs.data[b]); got != "6" {
+		t.Fatalf("stored B = %q, want %q", got, "6")
+	}
+}
